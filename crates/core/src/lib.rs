@@ -232,48 +232,37 @@ impl Talkback {
         };
         let epoch = adaptive.epoch();
         let mut cache_status = CacheStatus::Off;
+        let mut cached = None;
         if let Some(n) = &normalized {
             let key = plan_cache_key(&n.text, &options);
             if let Some(kinds) = param_kinds(&n.literals) {
-                let (cached, status) = adaptive.plan_cache().lookup_detailed(key, epoch, &kinds);
+                let (template, status) = adaptive.plan_cache().lookup_detailed(key, epoch, &kinds);
                 cache_status = status;
-                if let Some(template) = cached {
-                    self.db.obs().incr(Counter::PlanCacheHits);
-                    let plan = template.bind_params(&literal_bindings(&n.literals));
-                    let t2 = Instant::now();
-                    let (result, profile) = execute_with_stats(&self.db, &plan)?;
-                    let t3 = Instant::now();
-                    if options.use_feedback {
-                        adaptive.absorb(&profile, options.misestimate_factor);
+                match template {
+                    Some(template) => {
+                        self.db.obs().incr(Counter::PlanCacheHits);
+                        cached = Some(template.bind_params(&literal_bindings(&n.literals)));
                     }
-                    self.db.obs().record_statement(
-                        sql,
-                        &profile,
-                        datastore::obs::StatementPhases {
-                            parse: std::time::Duration::ZERO,
-                            plan: t2 - t0,
-                            execute: t3 - t2,
-                        },
-                        result.len() as u64,
-                        options.misestimate_factor,
-                        StatementMeta {
-                            cache: cache_status,
-                            epoch,
-                        },
-                    );
-                    return Ok(result);
+                    None => self.db.obs().incr(Counter::PlanCacheMisses),
                 }
-                self.db.obs().incr(Counter::PlanCacheMisses);
             }
         }
-        let query = sqlparse::parse_query(sql)?;
-        let t1 = Instant::now();
-        let planned = plan_query_with(&self.db, &query, options)?;
-        let t2 = Instant::now();
-        if let Some(n) = &normalized {
-            self.try_cache_plan(&query, n, &planned.plan, options, epoch);
-        }
-        let (result, profile) = execute_with_stats(&self.db, &planned.plan)?;
+        // A cache hit skips lexing and parsing: its whole front half is the
+        // plan phase.
+        let (plan, parse, planned_at) = match cached {
+            Some(plan) => (plan, std::time::Duration::ZERO, Instant::now()),
+            None => {
+                let query = sqlparse::parse_query(sql)?;
+                let t1 = Instant::now();
+                let planned = plan_query_with(&self.db, &query, options)?;
+                let t2 = Instant::now();
+                if let Some(n) = &normalized {
+                    self.try_cache_plan(&query, n, &planned.plan, options, epoch);
+                }
+                (planned.plan, t1 - t0, t2)
+            }
+        };
+        let (result, profile) = execute_with_stats(&self.db, &plan)?;
         let t3 = Instant::now();
         if options.use_feedback {
             adaptive.absorb(&profile, options.misestimate_factor);
@@ -282,9 +271,9 @@ impl Talkback {
             sql,
             &profile,
             datastore::obs::StatementPhases {
-                parse: t1 - t0,
-                plan: t2 - t1,
-                execute: t3 - t2,
+                parse,
+                plan: planned_at - t0 - parse,
+                execute: t3 - planned_at,
             },
             result.len() as u64,
             options.misestimate_factor,

@@ -26,7 +26,7 @@ use datastore::{format_duration, Database, EpochCause, Value};
 use nlg::{capitalize_first, count_phrase, finish_sentence, join_sentences, quote_sql};
 use sqlparse::ast::{BinaryOperator, SelectItem, SelectStatement};
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Recommend no more than this many indexes without an explicit `LIMIT`.
 const DEFAULT_LIMIT: usize = 5;
@@ -61,8 +61,10 @@ pub struct Recommendation {
     pub base_cost: f64,
     /// Estimated plan cost with the hypothetical index.
     pub what_if_cost: f64,
-    /// `base_cost / what_if_cost` — the execution speedup the what-if
-    /// coster expects.
+    /// The end-to-end speedup the what-if coster expects per run,
+    /// `(E + P) / (E·r + P)`: `E` the ledger's mean execute time, `r` the
+    /// what-if cost ratio, and `P` the time planning the base query took
+    /// here — per-statement work an index does not remove.
     pub estimated_speedup: f64,
     /// Workload time this would have saved (`executions × (before − after)`).
     pub total_saved: Duration,
@@ -430,7 +432,9 @@ fn best_candidate_for(
     options: &PlannerOptions,
 ) -> Option<Recommendation> {
     let query = sqlparse::parse_query(&stat.last_sql).ok()?;
+    let planning = Instant::now();
     let base = planner::plan_query_what_if(db, &query, *options, Vec::new()).ok()?;
+    let plan_time = planning.elapsed().as_secs_f64();
     let base_cost = plan_cost(&base.plan, options).max(1.0);
     let mut best: Option<(f64, Candidate, String)> = None;
     for cand in synthesize_candidates(&query) {
@@ -458,6 +462,7 @@ fn best_candidate_for(
     let overhead = stat.mean_total().saturating_sub(stat.mean_execute());
     let ratio = (what_if_cost / base_cost).clamp(0.0, 1.0);
     let predicted_after = overhead + stat.mean_execute().mul_f64(ratio);
+    let execute = stat.mean_execute().as_secs_f64();
     let saved_per_run = stat.mean_total().saturating_sub(predicted_after);
     let table_name = db
         .table(&cand.table)
@@ -480,7 +485,8 @@ fn best_candidate_for(
         predicted_after,
         base_cost,
         what_if_cost,
-        estimated_speedup: base_cost / what_if_cost,
+        estimated_speedup: (execute + plan_time).max(1e-12)
+            / (execute * ratio + plan_time).max(1e-12),
         total_saved: saved_per_run * stat.executions.min(u32::MAX as u64) as u32,
         reasons: Vec::new(),
     })
@@ -559,7 +565,7 @@ pub fn execute_advise(db: &Database, limit: Option<u64>) -> ShowReport {
             format_duration(top.predicted_after),
             format_cost(top.what_if_cost),
             format_cost(top.base_cost),
-            top.estimated_speedup,
+            top.base_cost / top.what_if_cost,
             format_duration(top.total_saved),
         )));
         sentences.push(finish_sentence(&format!(

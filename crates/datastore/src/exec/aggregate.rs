@@ -466,7 +466,7 @@ impl GroupedAggregator {
         if rows.is_empty() {
             return Ok(());
         }
-        if self.vectorized && self.push_batch_vectorized(rows, None) {
+        if self.vectorized && self.push_batch_vectorized(rows) {
             self.vector_batches += 1;
             return Ok(());
         }
@@ -480,37 +480,10 @@ impl GroupedAggregator {
         Ok(())
     }
 
-    /// Fold the rows at the selected positions of a batch — the fused
-    /// scan→filter→aggregate path, which never materializes the surviving
-    /// rows: the transpose gathers straight through the selection vector.
-    pub fn push_selected(&mut self, rows: &[Row], sel: &[usize]) -> Result<(), StoreError> {
-        if sel.is_empty() {
-            return Ok(());
-        }
-        if self.vectorized && self.push_batch_vectorized(rows, Some(sel)) {
-            self.vector_batches += 1;
-            return Ok(());
-        }
-        self.row_batches += 1;
-        for &i in sel {
-            let row = &rows[i];
-            let idx = self.group_id_for_row(row);
-            for (agg, acc) in self.aggregates.iter().zip(self.groups[idx].1.iter_mut()) {
-                acc.update(&agg_input(agg, row));
-            }
-        }
-        Ok(())
-    }
-
     /// Typed-kernel accumulation; `false` when this batch resists
     /// vectorization (mixed or non-vectorizable column types) and the row
-    /// path must run instead. With a selection vector, only the selected
-    /// positions are transposed (compacting the batch in the gather).
-    fn push_batch_vectorized(&mut self, rows: &[Row], sel: Option<&[usize]>) -> bool {
-        let transpose = |col: usize| match sel {
-            None => ValueVector::from_rows(rows, col),
-            Some(sel) => ValueVector::from_rows_selected(rows, col, sel),
-        };
+    /// path must run instead.
+    fn push_batch_vectorized(&mut self, rows: &[Row]) -> bool {
         // Transpose each referenced column once, even when several
         // aggregates read it (`sum(x), min(x), max(x)` is one gather).
         let mut pool: Vec<(usize, ValueVector)> = Vec::new();
@@ -518,7 +491,7 @@ impl GroupedAggregator {
             if let Some(p) = pool.iter().position(|(c, _)| *c == col) {
                 return Some(p);
             }
-            pool.push((col, transpose(col)?));
+            pool.push((col, ValueVector::from_rows(rows, col)?));
             Some(pool.len() - 1)
         };
         let mut key_slots = Vec::with_capacity(self.group_by.len());
@@ -539,14 +512,10 @@ impl GroupedAggregator {
                 ArgKind::General => return false,
             }
         }
-        let len = match sel {
-            None => rows.len(),
-            Some(sel) => sel.len(),
-        };
         // Resolve every row's group id first, then accumulate column-major:
         // one tight, monomorphic loop per aggregate over the whole batch.
-        let mut ids: Vec<usize> = Vec::with_capacity(len);
-        self.resolve_group_ids(&pool, &key_slots, len, &mut ids);
+        let mut ids: Vec<usize> = Vec::with_capacity(rows.len());
+        self.resolve_group_ids(&pool, &key_slots, rows.len(), &mut ids);
         for (j, slot) in arg_slots.iter().enumerate() {
             match slot.map(|p| &pool[p].1) {
                 None => {

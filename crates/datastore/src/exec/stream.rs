@@ -689,22 +689,6 @@ pub(crate) fn open_in(
             having,
             vectorized,
         } => {
-            if *vectorized {
-                // A vectorized aggregate directly over a (possibly
-                // kernel-filtered) base-table scan fuses into one columnar
-                // operator that reads the table in place — no row clones.
-                if let Some(fused) = FusedAggregateScanSource::try_open(
-                    ctx,
-                    input,
-                    group_by,
-                    aggregates,
-                    having,
-                    est,
-                    driver_range,
-                )? {
-                    return Ok(fused);
-                }
-            }
             let input = open_in(ctx, input, env, driver_range)?;
             let columns = aggregate_output_columns(input.columns(), group_by, aggregates);
             let detail = aggregate_detail(input.columns(), group_by, aggregates, having);
@@ -1958,258 +1942,6 @@ fn aggregate_detail(
         parts.push("having …".to_string());
     }
     parts.join("; ")
-}
-
-// ---------------------------------------------------------------------------
-// Fused columnar scan → filter → aggregate
-// ---------------------------------------------------------------------------
-
-/// The filter half of a fused pipeline: the compiled kernel plus everything
-/// needed to report the operator as if it had run standalone.
-struct FusedFilter {
-    predicate: Expr,
-    kernel: VectorPredicate,
-    detail: String,
-    est: Option<f64>,
-    meter: OpMetrics,
-}
-
-/// A vectorized `aggregate ← [filter ←] scan` pipeline collapsed into one
-/// columnar operator. The generic sources move `Row`s between operators,
-/// which for a base-table scan means cloning every tuple — title strings
-/// and all — only for the aggregate to read two integer columns. This
-/// source instead walks the table's row slice in place, evaluates the
-/// filter kernel over borrowed batches, and gathers just the referenced
-/// columns through the selection vector into the accumulation kernels.
-/// Results, the profile tree, and all per-operator counters are identical
-/// to the unfused pipeline; only the row copies are gone.
-struct FusedAggregateScanSource {
-    table: Arc<Table>,
-    cursor: usize,
-    end: usize,
-    group_by: Vec<usize>,
-    aggregates: Vec<AggExpr>,
-    having: Option<Expr>,
-    filter: Option<FusedFilter>,
-    /// Output columns of the aggregate (group keys then aggregate values).
-    columns: Vec<ColumnInfo>,
-    detail: String,
-    est: Option<f64>,
-    meter: OpMetrics,
-    /// Reporting state for the fused scan leaf.
-    scan_columns: Vec<ColumnInfo>,
-    scan_detail: String,
-    scan_est: Option<f64>,
-    scan_meter: OpMetrics,
-    pending: Option<VecDeque<Row>>,
-    obs: Arc<ObsRegistry>,
-}
-
-impl FusedAggregateScanSource {
-    /// Fuse when the input is a base-table scan, optionally under exactly
-    /// one vectorized filter whose predicate compiles, and every aggregate
-    /// argument is a plain column (or `*`) — the shapes where the typed
-    /// kernels can actually engage. Anything else returns `None` and the
-    /// caller builds the generic operator chain.
-    #[allow(clippy::too_many_arguments)]
-    fn try_open(
-        ctx: &Arc<ExecContext>,
-        input: &Plan,
-        group_by: &[usize],
-        aggregates: &[AggExpr],
-        having: &Option<Expr>,
-        est: Option<f64>,
-        driver_range: Option<(usize, usize)>,
-    ) -> Result<Option<Box<dyn RowSource>>, StoreError> {
-        if aggregates
-            .iter()
-            .any(|a| matches!(&a.arg, Some(e) if !matches!(e, Expr::Column(_))))
-        {
-            return Ok(None);
-        }
-        let (filter_parts, scan_plan) = match &input.node {
-            PlanNode::Scan { .. } => (None, input),
-            PlanNode::Filter {
-                input: scan,
-                predicate,
-                vectorized: true,
-            } if matches!(scan.node, PlanNode::Scan { .. }) => {
-                match VectorPredicate::compile(predicate) {
-                    Some(kernel) => (
-                        Some((predicate, kernel, input.estimated_rows)),
-                        scan.as_ref(),
-                    ),
-                    None => return Ok(None),
-                }
-            }
-            _ => return Ok(None),
-        };
-        let PlanNode::Scan { table, alias } = &scan_plan.node else {
-            return Ok(None);
-        };
-        let t = ctx
-            .table(table)
-            .ok_or_else(|| StoreError::UnknownTable {
-                table: table.clone(),
-            })?
-            .clone();
-        let scan_columns: Vec<ColumnInfo> = t
-            .schema()
-            .columns
-            .iter()
-            .map(|c| ColumnInfo::qualified(alias.clone(), c.name.clone()))
-            .collect();
-        let len = t.len();
-        let (cursor, end) = match driver_range {
-            Some((start, stop)) => (start.min(len), stop.min(len)),
-            None => (0, len),
-        };
-        let filter = filter_parts.map(|(predicate, kernel, fest)| FusedFilter {
-            detail: render_expr(predicate, &scan_columns),
-            predicate: predicate.clone(),
-            kernel,
-            est: fest,
-            meter: OpMetrics::default(),
-        });
-        Ok(Some(Box::new(FusedAggregateScanSource {
-            scan_detail: if alias == table {
-                table.clone()
-            } else {
-                format!("{table} as {alias}")
-            },
-            scan_est: scan_plan.estimated_rows,
-            scan_meter: OpMetrics::default(),
-            table: t,
-            cursor,
-            end,
-            columns: aggregate_output_columns(&scan_columns, group_by, aggregates),
-            detail: aggregate_detail(&scan_columns, group_by, aggregates, having),
-            scan_columns,
-            group_by: group_by.to_vec(),
-            aggregates: aggregates.to_vec(),
-            having: having.clone(),
-            filter,
-            est,
-            meter: OpMetrics::default(),
-            pending: None,
-            obs: Arc::clone(ctx.obs()),
-        })))
-    }
-
-    fn compute(&mut self) -> Result<(), StoreError> {
-        if self.pending.is_some() {
-            return Ok(());
-        }
-        let mut agg = GroupedAggregator::new(self.group_by.clone(), self.aggregates.clone(), true);
-        let table = Arc::clone(&self.table);
-        let rows = table.rows();
-        let mut sel: Vec<usize> = Vec::with_capacity(BATCH_SIZE);
-        while self.cursor < self.end {
-            let stop = (self.cursor + BATCH_SIZE).min(self.end);
-            let chunk = &rows[self.cursor..stop];
-            self.cursor = stop;
-            self.scan_meter.rows_in += chunk.len() as u64;
-            self.scan_meter.rows_out += chunk.len() as u64;
-            self.scan_meter.batches += 1;
-            self.obs.add(Counter::RowsScanned, chunk.len() as u64);
-            match &mut self.filter {
-                None => {
-                    self.meter.rows_in += chunk.len() as u64;
-                    agg.push_batch(chunk)?;
-                }
-                Some(f) => {
-                    f.meter.rows_in += chunk.len() as u64;
-                    sel.clear();
-                    match f.kernel.evaluate(chunk) {
-                        Some(mask) => {
-                            f.meter.vector_batches += 1;
-                            sel.extend(
-                                mask.iter()
-                                    .enumerate()
-                                    .filter_map(|(i, &keep)| keep.then_some(i)),
-                            );
-                        }
-                        None => {
-                            // This batch resists the kernel (mixed column
-                            // types): evaluate row-at-a-time, still borrowed.
-                            for (i, row) in chunk.iter().enumerate() {
-                                if f.predicate.eval_predicate(row)? {
-                                    sel.push(i);
-                                }
-                            }
-                        }
-                    }
-                    f.meter.rows_out += sel.len() as u64;
-                    if !sel.is_empty() {
-                        f.meter.batches += 1;
-                    }
-                    self.meter.rows_in += sel.len() as u64;
-                    agg.push_selected(chunk, &sel)?;
-                }
-            }
-        }
-        self.meter.vector_batches = agg.vector_batches();
-        let out = agg.finish(self.having.as_ref())?;
-        self.pending = Some(out.into());
-        Ok(())
-    }
-}
-
-impl RowSource for FusedAggregateScanSource {
-    fn columns(&self) -> &[ColumnInfo] {
-        &self.columns
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Row>>, StoreError> {
-        let start = Instant::now();
-        self.compute()?;
-        let result = drain_pending(
-            self.pending.as_mut().expect("computed above"),
-            &mut self.meter,
-        );
-        self.meter.elapsed += start.elapsed();
-        Ok(result)
-    }
-
-    fn profile(&self) -> PlanProfile {
-        // Report the fused pipeline exactly as its unfused tree would:
-        // aggregate over (filter over) scan, each with its own counters.
-        let mut child = PlanProfile {
-            operator: "scan".to_string(),
-            detail: self.scan_detail.clone(),
-            columns: self.scan_columns.clone(),
-            estimated_rows: self.scan_est,
-            metrics: self.scan_meter,
-            workers: None,
-            tags: Vec::new(),
-            access: None,
-            children: Vec::new(),
-        };
-        if let Some(f) = &self.filter {
-            child = PlanProfile {
-                operator: "filter".to_string(),
-                detail: f.detail.clone(),
-                columns: self.scan_columns.clone(),
-                estimated_rows: f.est,
-                metrics: f.meter,
-                workers: None,
-                tags: vec!["vectorized".to_string()],
-                access: None,
-                children: vec![child],
-            };
-        }
-        PlanProfile {
-            operator: "aggregate".to_string(),
-            detail: self.detail.clone(),
-            columns: self.columns.clone(),
-            estimated_rows: self.est,
-            metrics: self.meter,
-            workers: None,
-            tags: vec!["vectorized".to_string()],
-            access: None,
-            children: vec![child],
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -93,24 +93,10 @@ impl ValueVector {
     /// a type (boolean, date) the vectors do not cover — the caller then
     /// falls back to the per-row path for the whole batch.
     pub fn from_rows(rows: &[Row], col: usize) -> Option<ValueVector> {
-        Self::transpose(rows.iter(), rows.len(), col)
-    }
-
-    /// Transpose column `col` of the rows at the selected positions — the
-    /// gather a fused filter hands to the aggregation kernels, compacting
-    /// the batch without materializing the surviving rows.
-    pub fn from_rows_selected(rows: &[Row], col: usize, sel: &[usize]) -> Option<ValueVector> {
-        Self::transpose(sel.iter().map(|&i| &rows[i]), sel.len(), col)
-    }
-
-    fn transpose<'a>(
-        rows: impl Iterator<Item = &'a Row> + Clone,
-        len: usize,
-        col: usize,
-    ) -> Option<ValueVector> {
+        let len = rows.len();
         // The first non-NULL value fixes the vector's type.
         let first = rows
-            .clone()
+            .iter()
             .map(|r| r.get(col).unwrap_or(&Value::Null))
             .find(|v| !v.is_null());
         let mut nulls = NullBitmap::new(len);
@@ -128,7 +114,7 @@ impl ValueVector {
             }
             Some(Value::Integer(_)) => {
                 let mut values = Vec::with_capacity(len);
-                for (i, row) in rows.enumerate() {
+                for (i, row) in rows.iter().enumerate() {
                     match row.get(col).unwrap_or(&Value::Null) {
                         Value::Integer(v) => values.push(*v),
                         Value::Null => {
@@ -142,7 +128,7 @@ impl ValueVector {
             }
             Some(Value::Float(_)) => {
                 let mut values = Vec::with_capacity(len);
-                for (i, row) in rows.enumerate() {
+                for (i, row) in rows.iter().enumerate() {
                     match row.get(col).unwrap_or(&Value::Null) {
                         Value::Float(v) => values.push(*v),
                         Value::Null => {
@@ -156,7 +142,7 @@ impl ValueVector {
             }
             Some(Value::Text(_)) => {
                 let mut values = Vec::with_capacity(len);
-                for (i, row) in rows.enumerate() {
+                for (i, row) in rows.iter().enumerate() {
                     match row.get(col).unwrap_or(&Value::Null) {
                         Value::Text(v) => values.push(v.clone()),
                         Value::Null => {

@@ -355,21 +355,22 @@ fn three_valued_or(a: &Value, b: &Value) -> Value {
 }
 
 fn eval_arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value, StoreError> {
-    // Integer arithmetic stays integral when both sides are integers
-    // (except division by zero, which is an error).
+    // Integer arithmetic stays integral when both sides are integers;
+    // division by zero and results outside the i64 range are errors.
     if let (Value::Integer(a), Value::Integer(b)) = (l, r) {
-        return Ok(match op {
-            ArithOp::Add => Value::Integer(a + b),
-            ArithOp::Sub => Value::Integer(a - b),
-            ArithOp::Mul => Value::Integer(a * b),
-            ArithOp::Div => {
-                if *b == 0 {
-                    return Err(StoreError::Eval {
-                        message: "division by zero".into(),
-                    });
-                }
-                Value::Integer(a / b)
-            }
+        if op == ArithOp::Div && *b == 0 {
+            return Err(StoreError::Eval {
+                message: "division by zero".into(),
+            });
+        }
+        let result = match op {
+            ArithOp::Add => a.checked_add(*b),
+            ArithOp::Sub => a.checked_sub(*b),
+            ArithOp::Mul => a.checked_mul(*b),
+            ArithOp::Div => a.checked_div(*b),
+        };
+        return result.map(Value::Integer).ok_or_else(|| StoreError::Eval {
+            message: "integer overflow".into(),
         });
     }
     let (a, b) = match (l.as_f64(), r.as_f64()) {
@@ -484,6 +485,27 @@ mod tests {
             right: Box::new(Expr::Literal(Value::int(0))),
         };
         assert!(e.eval(&r).is_err());
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error_not_a_wrap() {
+        let r = Row::empty();
+        for (op, a, b) in [
+            (ArithOp::Add, i64::MAX, 1),
+            (ArithOp::Sub, i64::MIN, 1),
+            (ArithOp::Mul, 2021, i64::MAX),
+            (ArithOp::Div, i64::MIN, -1),
+        ] {
+            let e = Expr::Arith {
+                op,
+                left: Box::new(Expr::Literal(Value::int(a))),
+                right: Box::new(Expr::Literal(Value::int(b))),
+            };
+            match e.eval(&r) {
+                Err(StoreError::Eval { message }) => assert_eq!(message, "integer overflow"),
+                other => panic!("{op:?} {a} {b}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Operator-level executor tests and EXPLAIN golden-output tests, across the
 //! whole stack (sqlparse → planner → streaming executor → narration).
 
-use datastore::exec::{describe_plan, execute, execute_with_stats};
+use datastore::exec::{describe_plan, execute, execute_with_stats, ExecContext, Plan};
 use datastore::sample::{movie_database, scaled_movie_database, ScaleConfig};
-use datastore::Row;
+use datastore::{Row, Value};
 use talkback::{plan_query, Talkback};
 use talkback_tests::mentions;
 
@@ -21,7 +21,7 @@ fn seed_style_plan(
     db: &datastore::Database,
     query: &sqlparse::SelectStatement,
 ) -> datastore::exec::Plan {
-    use datastore::exec::{ColumnInfo, Plan};
+    use datastore::exec::ColumnInfo;
     use sqlparse::ast::SelectItem;
     use talkback::planner::lower_expr;
 
@@ -344,4 +344,65 @@ fn empty_result_detective_reads_counters_from_one_run() {
     let (pred, reached) = &explanation.predicate_notes[0];
     assert!(pred.contains("Nobody Nowhere"));
     assert_eq!(*reached, 6);
+}
+
+#[test]
+fn integer_overflow_is_a_named_error_in_every_build() {
+    let system = Talkback::new(movie_database());
+    for sql in [
+        "select m.year * 9223372036854775807 from MOVIES m",
+        "select (-9223372036854775807 - 1) / -1 from MOVIES m",
+    ] {
+        let err = system.run_query(sql).unwrap_err();
+        assert!(err.to_string().contains("integer overflow"), "{sql}: {err}");
+    }
+}
+
+#[test]
+fn full_scan_rows_share_storage_with_the_stored_table() {
+    let db = movie_database();
+    let result = execute(&db, &Plan::scan("MOVIES", "m")).unwrap();
+    let stored = db.table("MOVIES").unwrap().rows();
+    assert_eq!(result.rows.len(), stored.len());
+    for (out, row) in result.rows.iter().zip(stored) {
+        assert_eq!(out.values().as_ptr(), row.values().as_ptr());
+    }
+}
+
+#[test]
+fn writes_after_a_query_leave_earlier_results_and_snapshots_unchanged() {
+    let mut db = movie_database();
+    let result = execute(&db, &Plan::scan("MOVIES", "m")).unwrap();
+    let snapshot = ExecContext::new(&db);
+    let original: Vec<Vec<Value>> = result.rows.iter().map(|r| r.values().to_vec()).collect();
+    let unchanged = |rows: &[Row]| {
+        assert_eq!(
+            rows.iter().map(|r| r.values().to_vec()).collect::<Vec<_>>(),
+            original
+        );
+    };
+
+    // A caller editing its own copy of a result row.
+    let mut edited = result.rows[0].clone();
+    *edited.get_mut(1).unwrap() = Value::text("edited");
+    assert_eq!(edited.get(1), Some(&Value::text("edited")));
+
+    // Database writes: an in-place update of every row, then an insert.
+    db.table_mut("MOVIES").unwrap().update_where(
+        |_| true,
+        |r| *r.get_mut(1).unwrap() = Value::text("renamed"),
+    );
+    db.insert(
+        "MOVIES",
+        vec![Value::int(999), Value::text("New"), Value::int(2030)],
+    )
+    .unwrap();
+    let live = db.table("MOVIES").unwrap().rows();
+    assert_eq!(live.len(), original.len() + 1);
+    assert!(live[..original.len()]
+        .iter()
+        .all(|r| r.get(1) == Some(&Value::text("renamed"))));
+
+    unchanged(&result.rows);
+    unchanged(snapshot.table("MOVIES").unwrap().rows());
 }
