@@ -290,7 +290,8 @@ impl Talkback {
     /// exactly the literals the text scanner extracted, in the same order —
     /// so future text-extracted literals bind positionally — and (b)
     /// re-planning the parameterized statement and re-binding the original
-    /// literals reproduces the fresh plan byte-for-byte, estimates and all.
+    /// literals reproduces the fresh plan structurally (`Plan`'s `PartialEq`),
+    /// with bit-identical estimates.
     /// Any divergence means the plan depends on a literal's *value* (a
     /// range bound steering the histogram, a hash-index type check, …) and
     /// the statement silently stays uncached.
@@ -315,7 +316,7 @@ impl Talkback {
             return;
         };
         let rebound = template.plan.bind_params(&literal_bindings(&lits));
-        if format!("{rebound:?}") != format!("{fresh:?}") {
+        if rebound != *fresh {
             return;
         }
         let evicted = self.db.adaptive().plan_cache().insert(
@@ -508,13 +509,6 @@ fn plan_cache_key(text: &str, options: &PlannerOptions) -> u64 {
         &mut hash,
         &options.misestimate_factor.to_bits().to_le_bytes(),
     );
-    fnv(
-        &mut hash,
-        &(options.parallel_build_min as u64).to_le_bytes(),
-    );
-    fnv(&mut hash, &(options.apply_cache_cap as u64).to_le_bytes());
-    fnv(&mut hash, &options.index_scan_ratio.to_bits().to_le_bytes());
-    fnv(&mut hash, &options.inlj_ratio.to_bits().to_le_bytes());
     hash
 }
 

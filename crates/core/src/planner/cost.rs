@@ -112,10 +112,6 @@ pub enum PlanDecision {
         on: Option<String>,
         /// The correlation columns an `Apply` binds per row, when any.
         correlated_on: Vec<String>,
-        /// The planner's apply memo-cache capacity
-        /// ([`super::PlannerOptions::apply_cache_cap`]), narrated when the
-        /// strategy is an `Apply`.
-        cache_cap: usize,
     },
     /// How a base relation is read — the access-path choice, recorded
     /// whether or not the index won so the narration can own up to
@@ -139,11 +135,6 @@ pub enum PlanDecision {
         table_rows: f64,
         /// True when the index path was chosen over the scan / hash join.
         chosen: bool,
-        /// The planner's probe-cost ratio the estimate was weighed against
-        /// ([`super::PlannerOptions::index_scan_ratio`] for scans,
-        /// [`super::PlannerOptions::inlj_ratio`] for nested-loop probes): the
-        /// index wins when `estimated_rows × ratio ≤ table_rows`.
-        ratio: f64,
         /// True when a probe bound is a correlation parameter — the bound
         /// resolves per `Apply` binding rather than at plan time.
         parameterized: bool,
@@ -219,15 +210,14 @@ pub enum PlanDecision {
         selectivity: f64,
     },
     /// Whether a hash (semi-/anti-)join's build side qualifies for the
-    /// hash-partitioned parallel build, per the planner's `build_min` knob.
+    /// hash-partitioned parallel build
+    /// ([`datastore::exec::PARALLEL_BUILD_MIN`] rows or more).
     PartitionedBuild {
         /// The join's build-side description ("CAST as c").
         target: String,
         /// Estimated build-side rows.
         estimated_rows: f64,
-        /// The planner's minimum build rows for partitioning.
-        build_min: usize,
-        /// True when the estimate cleared the knob.
+        /// True when the estimate cleared the bar.
         partitioned: bool,
     },
 }

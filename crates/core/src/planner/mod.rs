@@ -93,23 +93,6 @@ pub struct PlannerOptions {
     /// runs row-at-a-time: the A/B baseline the byte-identical-results
     /// property tests compare against.
     pub use_vectorized: bool,
-    /// Minimum estimated build-side rows before a hash (semi-/anti-)join
-    /// build is hash-partitioned across the exchange's workers. Defaults to
-    /// [`datastore::exec::PARALLEL_BUILD_MIN`].
-    pub parallel_build_min: usize,
-    /// Entry bound of the `Apply` operator's per-binding memoization cache.
-    /// Defaults to [`datastore::exec::APPLY_CACHE_CAP`].
-    pub apply_cache_cap: usize,
-    /// Scan-rows one index-probed row is priced at: an index scan wins a
-    /// base-relation access when `matching_rows × index_scan_ratio ≤
-    /// table_rows`. Defaults to [`INDEX_PROBE_ROW_COST`]; raise it to make
-    /// the planner warier of indexes, lower it to make probes cheaper.
-    pub index_scan_ratio: f64,
-    /// The same coin for index-nested-loop joins: probing the inner index
-    /// once per outer row wins when `outer_rows × inlj_ratio ≤ inner_rows`
-    /// (vs. building a hash table over the inner side). Defaults to
-    /// [`INDEX_PROBE_ROW_COST`].
-    pub inlj_ratio: f64,
     /// Consult the cardinality-feedback store before histogram estimation
     /// (on by default): a predicate shape whose last execution misestimated
     /// by ≥ `misestimate_factor` plans with its *observed* selectivity
@@ -136,10 +119,6 @@ impl Default for PlannerOptions {
             use_indexes: true,
             misestimate_factor: datastore::exec::MISESTIMATE_FACTOR,
             use_vectorized: true,
-            parallel_build_min: datastore::exec::PARALLEL_BUILD_MIN,
-            apply_cache_cap: datastore::exec::APPLY_CACHE_CAP,
-            index_scan_ratio: INDEX_PROBE_ROW_COST,
-            inlj_ratio: INDEX_PROBE_ROW_COST,
             use_feedback: true,
             use_plan_cache: true,
         }
@@ -256,10 +235,9 @@ fn plan_query_impl(
         true,
     )?;
     decisions.extend(subctx.take_decisions());
-    // The vectorize pass stamps the executor knobs (vector kernels, the
-    // partitioned-build threshold, the apply cache cap) onto the lowered
-    // plan — always, so the knobs reach the executor even when the
-    // vectorized kernels themselves are switched off.
+    // The vectorize pass marks the operators that run on the vector kernels
+    // and records the partitioned-build decisions — always, so those
+    // decisions are narrated even when the kernels are switched off.
     let plan = vectorize::vectorize_plan(db, plan, &options, &mut decisions);
     // Parallelization runs last, over the final physical plan: wrap
     // qualifying pipelines in exchanges (pushing aggregation, sorting, and
@@ -299,7 +277,9 @@ fn plan_query_impl(
 mod tests {
     use super::*;
     use datastore::exec::{execute, PlanNode};
-    use datastore::sample::{employee_database, movie_database};
+    use datastore::sample::{
+        employee_database, movie_database, scaled_movie_database, ScaleConfig, PAPER_QUERIES,
+    };
     use datastore::Value;
     use sqlparse::parse_query;
 
@@ -608,9 +588,10 @@ mod tests {
         // The DP searches a space that contains every greedy walk, so on the
         // same graph and estimates its chosen order can never cost more than
         // the greedy pick — checked head-to-head on the multi-relation join
-        // graphs of the paper's queries.
-        let db = movie_database();
-        let queries = [
+        // graphs of the paper's queries, over the 10-movie fixture and over
+        // the analyzed ×100 database with composite indexes on CAST(mid, aid)
+        // and MOVIES(year, id).
+        let joins = [
             "select m.title from MOVIES m, CAST c, ACTOR a \
              where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
             "select a.name, m.title from MOVIES m, CAST c, ACTOR a, DIRECTED r, DIRECTOR d, \
@@ -627,20 +608,47 @@ mod tests {
             "select m1.year from MOVIES m1, MOVIES m2 \
              where m1.title = m2.title and m1.id <> m2.id",
         ];
-        for sql in queries {
-            let q = parse_query(sql).unwrap();
-            let bound = sqlparse::bind_query(db.catalog(), &q).unwrap();
-            let graph = logical::build_join_graph(&db, &q, &bound);
-            assert!(graph.relations.len() > 1, "graph degenerate for {sql}");
-            let estimator = cost::Estimator::new(&db);
-            let (dp, _) = cost::choose_join_order_hinted(&graph, &estimator, true, &[]);
-            let (greedy, _) = cost::choose_join_order_greedy(&graph, &estimator, true);
-            assert!(
-                dp.cost() <= greedy.cost(),
-                "DP lost to greedy for {sql}: {} > {}",
-                dp.cost(),
-                greedy.cost()
-            );
+        let mut x100 = scaled_movie_database(ScaleConfig {
+            movies: 1000,
+            actors: 600,
+            directors: 200,
+            ..ScaleConfig::default()
+        });
+        for (name, table, columns) in [
+            ("c_cast_mid_aid", "CAST", ["mid", "aid"]),
+            ("c_movies_year_id", "MOVIES", ["year", "id"]),
+        ] {
+            x100.create_index(datastore::IndexDef {
+                name: name.into(),
+                table: table.into(),
+                columns: columns.map(String::from).to_vec(),
+                kind: datastore::IndexKind::Ordered,
+            })
+            .unwrap();
+        }
+        x100.analyze();
+        for db in [movie_database(), x100] {
+            // Q1–Q9 as written: the nested ones (Q5, Q6) leave a one-relation
+            // outer graph, which the DP and the greedy walk must still agree on.
+            let paper = PAPER_QUERIES.iter().map(|(_, sql)| (*sql, false));
+            for (sql, multi) in joins.iter().map(|sql| (*sql, true)).chain(paper) {
+                let q = parse_query(sql).unwrap();
+                let bound = sqlparse::bind_query(db.catalog(), &q).unwrap();
+                let graph = logical::build_join_graph(&db, &q, &bound);
+                assert!(
+                    !multi || graph.relations.len() > 1,
+                    "graph degenerate for {sql}"
+                );
+                let estimator = cost::Estimator::new(&db);
+                let (dp, _) = cost::choose_join_order_hinted(&graph, &estimator, true, &[]);
+                let (greedy, _) = cost::choose_join_order_greedy(&graph, &estimator, true);
+                assert!(
+                    dp.cost() <= greedy.cost(),
+                    "DP lost to greedy for {sql}: {} > {}",
+                    dp.cost(),
+                    greedy.cost()
+                );
+            }
         }
     }
 

@@ -406,7 +406,6 @@ impl<'c> SubqueryContext<'c> {
             strategy,
             on,
             correlated_on,
-            cache_cap: self.options.apply_cache_cap.max(1),
         });
     }
 

@@ -24,9 +24,11 @@
 //! what actually happened.
 
 use crate::error::TalkbackError;
-use crate::planner::PlanDecision;
+use crate::planner::{PlanDecision, INDEX_PROBE_ROW_COST};
 use crate::query::sole_scan_table;
-use datastore::exec::{describe_plan, execute_with_stats, PlanProfile};
+use datastore::exec::{
+    describe_plan, execute_with_stats, PlanProfile, APPLY_CACHE_CAP, PARALLEL_BUILD_MIN,
+};
 use datastore::Database;
 use nlg::{count_phrase, finish_sentence, join_sentences, pluralize, quote_sql};
 use sqlparse::ast::Statement;
@@ -163,14 +165,12 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                 strategy,
                 on,
                 correlated_on,
-                cache_cap,
             } => {
                 sentences.push(narrate_subquery_decision(
                     construct,
                     *strategy,
                     on.as_deref(),
                     correlated_on,
-                    *cache_cap,
                 ));
             }
             PlanDecision::AccessPath {
@@ -181,7 +181,6 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                 estimated_rows,
                 table_rows,
                 chosen,
-                ratio,
                 parameterized,
                 index_only,
                 ..
@@ -206,7 +205,7 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                     (K::Point | K::Range | K::Prefix, false) => format!(
                         "{table} has an index on {column}, but the filter keeps an \
                          estimated {est} of its {total} (a probe pays its way below one \
-                         row in {ratio:.0}), so I scanned the whole table"
+                         row in {INDEX_PROBE_ROW_COST:.0}), so I scanned the whole table"
                     ),
                     (K::NestedLoopProbe, true) => format!(
                         "I probed {table}'s index on {column} ({index}) once per outer \
@@ -338,7 +337,6 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
             PlanDecision::PartitionedBuild {
                 target,
                 estimated_rows,
-                build_min,
                 partitioned,
             } => {
                 let text = if *partitioned {
@@ -347,7 +345,7 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                          the hash build across the workers — over my {}-row bar",
                         rows_phrase(*estimated_rows),
                         target,
-                        build_min
+                        PARALLEL_BUILD_MIN
                     )
                 } else {
                     format!(
@@ -356,7 +354,7 @@ pub fn narrate_decisions(decisions: &[PlanDecision]) -> Vec<String> {
                          table in one piece",
                         target,
                         rows_phrase(*estimated_rows),
-                        build_min
+                        PARALLEL_BUILD_MIN
                     )
                 };
                 sentences.push(finish_sentence(&text));
@@ -373,7 +371,6 @@ fn narrate_subquery_decision(
     strategy: crate::planner::SubqueryStrategy,
     on: Option<&str>,
     correlated_on: &[String],
-    cache_cap: usize,
 ) -> String {
     use crate::planner::SubqueryStrategy as S;
     let quoted = quote_sql(construct);
@@ -412,7 +409,7 @@ fn narrate_subquery_decision(
                      results)",
                     quoted,
                     correlated_on.join(", "),
-                    cache_cap
+                    APPLY_CACHE_CAP
                 )
             }
         }
@@ -1306,7 +1303,7 @@ mod tests {
 
     #[test]
     fn rejected_index_is_narrated_too() {
-        // The acceptance criterion's narrated *rejection*: the index exists,
+        // The narrated *rejection*: the index exists,
         // the filter is unselective, the narration owns up to scanning.
         let db = movie_database();
         let e = explain_plan(

@@ -108,7 +108,7 @@ pub struct SortKey {
 ///
 /// Every mode gathers in morsel order, so the result is byte-identical to
 /// the single-threaded run at any worker count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GatherMode {
     /// Concatenate worker outputs in morsel order (plain pipelines).
     Rows,
@@ -159,8 +159,18 @@ pub struct Plan {
     pub estimated_rows: Option<f64>,
 }
 
+/// Structural equality: same operators, same arguments, and bit-identical
+/// estimates — so `-0.0` and `0.0` differ and a NaN equals only the same NaN,
+/// exactly as the estimates' `Debug` renderings would compare.
+impl PartialEq for Plan {
+    fn eq(&self, other: &Plan) -> bool {
+        self.estimated_rows.map(f64::to_bits) == other.estimated_rows.map(f64::to_bits)
+            && self.node == other.node
+    }
+}
+
 /// Physical plan operators.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// Full scan of a stored table; output columns are the table's columns
     /// qualified with `alias`.
@@ -230,9 +240,6 @@ pub enum PlanNode {
         right_keys: Vec<usize>,
         /// Compute probe keys batch-at-a-time with the typed kernels.
         vectorized: bool,
-        /// Minimum build-side rows before a parallel plan partitions the
-        /// hash-table build across workers (planner knob).
-        build_min: usize,
     },
     /// Grouped aggregation. With an empty `group_by`, produces a single row.
     Aggregate {
@@ -262,8 +269,6 @@ pub enum PlanNode {
         right: Box<Plan>,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        /// Minimum build-side rows before a parallel build (planner knob).
-        build_min: usize,
     },
     /// Anti-join: emit each left row with *no* key match on the right side —
     /// a decorrelated `NOT EXISTS` (and, with `null_aware`, `NOT IN`).
@@ -279,8 +284,6 @@ pub enum PlanNode {
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
         null_aware: bool,
-        /// Minimum build-side rows before a parallel build (planner knob).
-        build_min: usize,
     },
     /// Uncorrelated scalar subquery used as a filter: evaluate `subplan`
     /// exactly once (it must yield at most one row; zero rows is SQL NULL),
@@ -308,9 +311,6 @@ pub enum PlanNode {
         /// distinct bindings of one input batch are embarrassingly
         /// parallel). 1 = evaluate sequentially.
         workers: usize,
-        /// Maximum distinct-binding results kept in the memo cache before
-        /// eviction (planner knob).
-        cache_cap: usize,
     },
     /// Morsel-driven parallel execution of a pipeline: the subtree's driver
     /// scan (its leftmost leaf) is split into row-range morsels, `workers`
@@ -329,7 +329,7 @@ pub enum PlanNode {
 }
 
 /// What an [`PlanNode::Apply`] operator checks against each subquery result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ApplyMode {
     /// Keep the row iff the subquery produced [no] rows (`[NOT] EXISTS`).
     Exists { negated: bool },
@@ -514,7 +514,6 @@ impl Plan {
             left_keys,
             right_keys,
             vectorized: false,
-            build_min: crate::exec::parallel::PARALLEL_BUILD_MIN,
         }
         .into()
     }
@@ -531,7 +530,6 @@ impl Plan {
             right: Box::new(right),
             left_keys,
             right_keys,
-            build_min: crate::exec::parallel::PARALLEL_BUILD_MIN,
         }
         .into()
     }
@@ -551,7 +549,6 @@ impl Plan {
             left_keys,
             right_keys,
             null_aware,
-            build_min: crate::exec::parallel::PARALLEL_BUILD_MIN,
         }
         .into()
     }
@@ -577,18 +574,8 @@ impl Plan {
             params,
             mode,
             workers: 1,
-            cache_cap: crate::exec::stream::APPLY_CACHE_CAP,
         }
         .into()
-    }
-
-    /// Set the memo-cache capacity of an `Apply` root (no-op on other
-    /// operators).
-    pub fn with_cache_cap(mut self, cap: usize) -> Plan {
-        if let PlanNode::Apply { cache_cap, .. } = &mut self.node {
-            *cache_cap = cap.max(1);
-        }
-        self
     }
 
     /// Mark a `Filter`, `Aggregate`, or `HashJoin` root as vectorized
@@ -598,18 +585,6 @@ impl Plan {
             PlanNode::Filter { vectorized, .. }
             | PlanNode::Aggregate { vectorized, .. }
             | PlanNode::HashJoin { vectorized, .. } => *vectorized = true,
-            _ => {}
-        }
-        self
-    }
-
-    /// Set the parallel-build threshold of a hash/semi/anti join root
-    /// (no-op on other operators).
-    pub fn with_build_min(mut self, n: usize) -> Plan {
-        match &mut self.node {
-            PlanNode::HashJoin { build_min, .. }
-            | PlanNode::HashSemiJoin { build_min, .. }
-            | PlanNode::HashAntiJoin { build_min, .. } => *build_min = n.max(1),
             _ => {}
         }
         self
@@ -726,27 +701,23 @@ impl Plan {
                 left_keys,
                 right_keys,
                 vectorized,
-                build_min,
             } => PlanNode::HashJoin {
                 left: Box::new(left.bind_params(bindings)),
                 right: Box::new(right.bind_params(bindings)),
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
                 vectorized: *vectorized,
-                build_min: *build_min,
             },
             PlanNode::HashSemiJoin {
                 left,
                 right,
                 left_keys,
                 right_keys,
-                build_min,
             } => PlanNode::HashSemiJoin {
                 left: Box::new(left.bind_params(bindings)),
                 right: Box::new(right.bind_params(bindings)),
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
-                build_min: *build_min,
             },
             PlanNode::HashAntiJoin {
                 left,
@@ -754,14 +725,12 @@ impl Plan {
                 left_keys,
                 right_keys,
                 null_aware,
-                build_min,
             } => PlanNode::HashAntiJoin {
                 left: Box::new(left.bind_params(bindings)),
                 right: Box::new(right.bind_params(bindings)),
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
                 null_aware: *null_aware,
-                build_min: *build_min,
             },
             PlanNode::Aggregate {
                 input,
@@ -804,14 +773,12 @@ impl Plan {
                 params,
                 mode,
                 workers,
-                cache_cap,
             } => PlanNode::Apply {
                 input: Box::new(input.bind_params(bindings)),
                 subplan: Box::new(subplan.bind_params(bindings)),
                 params: params.clone(),
                 mode: mode.map_exprs(&|e| e.substitute_params(bindings)),
                 workers: *workers,
-                cache_cap: *cache_cap,
             },
             PlanNode::Exchange {
                 input,

@@ -5,17 +5,73 @@
 //!   the fixtures the paper's worked examples rely on (Woody Allen and his
 //!   three movies, Brad Pitt, G. Loucas action movies, a movie whose title is
 //!   also a role, remade movies for Q9, …).
+//! * [`PAPER_QUERIES`] — the paper's example queries Q1–Q9 over that
+//!   schema, as `(id, SQL)` pairs.
 //! * [`employee_database`] — the EMP/DEPT schema from §3.1 ("employees who
 //!   make more than their managers").
 //! * [`scaled_movie_database`] — a synthetic generator producing arbitrarily
-//!   many tuples over the Figure 1 schema, used by the content-translation
-//!   and end-to-end benchmarks.
+//!   many tuples over the Figure 1 schema, used by the benchmarks and the
+//!   scale tests.
 
 use crate::database::Database;
 use crate::schema::{ColumnDef, ForeignKey, TableSchema};
 use crate::value::{DataType, Date, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The paper's example queries Q1–Q9, as (id, SQL) pairs.
+pub const PAPER_QUERIES: &[(&str, &str)] = &[
+    (
+        "Q1-path",
+        "select m.title from MOVIES m, CAST c, ACTOR a \
+         where m.id = c.mid and c.aid = a.id and a.name = 'Brad Pitt'",
+    ),
+    (
+        "Q2-subgraph",
+        "select a.name, m.title from MOVIES m, CAST c, ACTOR a, DIRECTED r, DIRECTOR d, GENRE g \
+         where m.id = c.mid and c.aid = a.id and m.id = r.mid and r.did = d.id \
+           and m.id = g.mid and d.name = 'G. Loucas' and g.genre = 'action'",
+    ),
+    (
+        "Q3-graph-multi",
+        "select a1.name, a2.name from MOVIES m, CAST c1, ACTOR a1, CAST c2, ACTOR a2 \
+         where m.id = c1.mid and c1.aid = a1.id and m.id = c2.mid and c2.aid = a2.id \
+           and a1.id > a2.id",
+    ),
+    (
+        "Q4-graph-cyclic",
+        "select m.title from MOVIES m, CAST c where m.id = c.mid and c.role = m.title",
+    ),
+    (
+        "Q5-nested-flat",
+        "select m.title from MOVIES m where m.id in ( \
+            select c.mid from CAST c where c.aid in ( \
+                select a.id from ACTOR a where a.name = 'Brad Pitt'))",
+    ),
+    (
+        "Q6-nested-division",
+        "select m.title from MOVIES m where not exists ( \
+            select * from GENRE g1 where not exists ( \
+                select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))",
+    ),
+    (
+        "Q7-aggregate",
+        "select m.id, m.title, count(*) from MOVIES m, CAST c where m.id = c.mid \
+         group by m.id, m.title having 1 < (select count(*) from GENRE g where g.mid = m.id)",
+    ),
+    (
+        "Q8-impossible-allsame",
+        "select a.id, a.name from MOVIES m, CAST c, ACTOR a \
+         where m.id = c.mid and c.aid = a.id \
+         group by a.id, a.name having count(distinct m.year) = 1",
+    ),
+    (
+        "Q9-impossible-superlative",
+        "select a.name from MOVIES m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id \
+         and m.year <= all (select m1.year from MOVIES m1, MOVIES m2 \
+         where m1.title = m.title and m2.title = m.title and m1.id <> m2.id)",
+    ),
+];
 
 /// Build the catalog of Figure 1 (schemas and foreign keys, no data) inside
 /// a fresh database.
